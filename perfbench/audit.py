@@ -30,9 +30,11 @@ FAULTS_PER_ROUND = 3
 #: A restore is half a second of clearing and reinstalling every TCAM; the
 #: repeats re-apply the same snapshot so each round gives several samples.
 RESTORES_PER_ROUND = 3
-#: A verdict read is tens of microseconds; one sample is the mean of a batch.
-READS_PER_SAMPLE = 50
-READ_SAMPLES = 5
+#: A verdict read is tens of microseconds; one sample is the mean of a
+#: batch, and each round takes about 0.1 s of reads so that a momentary
+#: stall of the machine moves only a few samples.
+READS_PER_SAMPLE = 200
+READ_SAMPLES = 20
 #: Rounds age the previous round's change records out of SCOUT's window.
 CHANGE_WINDOW = 100
 
@@ -141,9 +143,10 @@ class AuditProduction(Workload):
             "event_latency_p50_ms": self.latency.quantile(0.5) * 1e3,
             "event_latency_p95_ms": self.latency.quantile(0.95) * 1e3,
             "incident_read_p50_ms": self.reads.quantile(0.5) * 1e3,
-            "storm_detect_s": self.detect.quantile(0.5),
-            "storm_recover_s": self.recover.quantile(0.5),
-            "audit_s": self.audits.quantile(0.5),
+            # Means over the run's few rounds, as on storm-simulation.
+            "storm_detect_s": self.detect.mean(),
+            "storm_recover_s": self.recover.mean(),
+            "audit_s": self.audits.mean(),
             # Per-audit accuracy, median over the rounds: a few fault draws
             # make SCOUT name many extra objects, and pooled over a run's
             # nine faults one such audit swings precision by half.

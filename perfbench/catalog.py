@@ -29,15 +29,15 @@ WORKLOADS: Dict[str, str] = {
 END_TO_END: Tuple[Tuple[str, str, str, float], ...] = (
     ("setup_s", "s", "lower", 0.25),
     ("peak_rss_mb", "MB", "lower", 0.1),
-    ("events_per_s", "1/s", "higher", 0.22),
-    ("event_latency_p50_ms", "ms", "lower", 0.22),
-    ("event_latency_p95_ms", "ms", "lower", 0.24),
-    ("incident_read_p50_ms", "ms", "lower", 0.24),
-    ("storm_detect_s", "s", "lower", 0.22),
-    ("storm_recover_s", "s", "lower", 0.24),
-    ("audit_s", "s", "lower", 0.24),
-    ("localization_precision", "ratio", "higher", 0.24),
-    ("localization_recall", "ratio", "higher", 0.24),
+    ("events_per_s", "1/s", "higher", 0.25),
+    ("event_latency_p50_ms", "ms", "lower", 0.25),
+    ("event_latency_p95_ms", "ms", "lower", 0.25),
+    ("incident_read_p50_ms", "ms", "lower", 0.25),
+    ("storm_detect_s", "s", "lower", 0.25),
+    ("storm_recover_s", "s", "lower", 0.25),
+    ("audit_s", "s", "lower", 0.25),
+    ("localization_precision", "ratio", "higher", 0.25),
+    ("localization_recall", "ratio", "higher", 0.25),
 )
 
 #: Layers whose spans the traced run records, in pipeline order.

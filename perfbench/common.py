@@ -22,6 +22,10 @@ class Samples:
     def total(self) -> float:
         return sum(self.values)
 
+    def mean(self) -> float:
+        """Arithmetic mean; NaN for an empty sample."""
+        return self.total() / len(self.values) if self.values else float("nan")
+
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile; NaN for an empty sample."""
         if not self.values:

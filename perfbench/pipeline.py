@@ -49,8 +49,9 @@ def stratified_stream(profile: ChurnProfile, events: int, seed: int) -> list:
     ``generate_churn_stream`` draws every event's family independently, so
     two seeds can differ by dozens of reboots in a few hundred events.
     Here the family counts follow the profile's weights exactly (largest
-    remainders round), and the seed draws their order, every target and
-    every duration from the profile's ranges.
+    remainders round), fault-burst sizes cover the profile's range evenly,
+    and the seed draws their order, every target and every duration from
+    the profile's ranges.
     """
     rng = random.Random(seed)
     weights = profile.mix.weights()
@@ -61,6 +62,9 @@ def stratified_stream(profile: ChurnProfile, events: int, seed: int) -> list:
         counts[i] += 1
     kinds = [kind for kind, count in zip(CHURN_EVENT_KINDS, counts) for _ in range(count)]
     rng.shuffle(kinds)
+    low, high = profile.faults_per_event
+    sizes = [low + i % (high - low + 1) for i in range(kinds.count("fault"))]
+    rng.shuffle(sizes)
     stream = []
     rule_id = 0
     for seq, kind in enumerate(kinds, start=1):
@@ -81,8 +85,7 @@ def stratified_stream(profile: ChurnProfile, events: int, seed: int) -> list:
             duration = rng.randint(*profile.drain_duration_events)
             stream.append(SwitchDrain(seq=seq, draw_seed=draw, duration_events=duration))
         else:
-            count = rng.randint(*profile.faults_per_event)
-            stream.append(FaultBurst(seq=seq, draw_seed=draw, count=count))
+            stream.append(FaultBurst(seq=seq, draw_seed=draw, count=sizes.pop()))
     return stream
 
 
